@@ -7,10 +7,9 @@
 // still beats HDFS; HDFS is flat regardless of offered load.
 //
 // Also runs the inode hint-cache ablation (§5.1): the same closed loop on a
-// real MiniCluster with (a) the trie cache plus proactive invalidation-log
-// draining, (b) the cache with lazy repair-on-miss only, and (c) the cache
-// disabled -- reporting throughput, database round trips per op, and the
-// cache counters.
+// real MiniCluster with the trie cache plus proactive invalidation-log
+// draining, and with the cache disabled -- reporting throughput, database
+// round trips per op, and the cache counters.
 #include <atomic>
 #include <cstdlib>
 #include <thread>
@@ -33,18 +32,14 @@ void RunHintCacheAblation(const hops::wl::OpMix& mix, hops::bench::BenchJson& js
   struct Cfg {
     const char* label;
     size_t capacity;
-    bool proactive;
   };
-  for (const Cfg& cfg : {Cfg{"proactive", size_t{1} << 20, true},
-                         Cfg{"lazy", size_t{1} << 20, false},  //
-                         Cfg{"off", 0, false}}) {
+  for (const Cfg& cfg : {Cfg{"proactive", size_t{1} << 20}, Cfg{"off", 0}}) {
     fs::MiniClusterOptions options;
     options.db.num_datanodes = 4;
     options.db.replication = 2;
     options.num_namenodes = 3;
     options.num_datanodes = 3;
     options.fs.hint_cache_capacity = cfg.capacity;
-    options.fs.hint_proactive_invalidation = cfg.proactive;
     auto cluster = *fs::MiniCluster::Start(options);
     wl::NamespaceShape shape;
     auto ns = wl::PlanNamespace(shape, files, 11);

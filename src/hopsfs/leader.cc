@@ -129,7 +129,7 @@ hops::Status LeaderElection::Heartbeat() {
       }
     }
     // ...and GCs the sharded hint-invalidation log.
-    if (config_->hint_proactive_invalidation) GcHintLog(dead);
+    GcHintLog(dead);
   }
   return hops::Status::Ok();
 }

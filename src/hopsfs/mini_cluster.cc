@@ -116,11 +116,14 @@ hops::Result<std::unique_ptr<MiniCluster>> MiniCluster::Start(MiniClusterOptions
 void MiniCluster::InstallDatanodePicker(Namenode& nn) {
   nn.SetDatanodePicker([this](int count) {
     std::vector<DatanodeId> targets;
-    size_t n = datanodes_.size();
+    const size_t n = datanodes_.size();
     if (n == 0) return targets;
-    for (size_t tried = 0; tried < n && targets.size() < static_cast<size_t>(count);
-         ++tried) {
-      Datanode& dn = *datanodes_[dn_rr_.fetch_add(1, std::memory_order_relaxed) % n];
+    // One base per call, then a walk of distinct slots: every namenode
+    // shares dn_rr_, so advancing it per candidate would let a concurrent
+    // pick interleave and hand one call the same datanode twice.
+    const uint64_t base = dn_rr_.fetch_add(1, std::memory_order_relaxed);
+    for (size_t i = 0; i < n && targets.size() < static_cast<size_t>(count); ++i) {
+      Datanode& dn = *datanodes_[(base + i) % n];
       if (dn.alive()) targets.push_back(dn.id());
     }
     return targets;

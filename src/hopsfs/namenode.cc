@@ -90,9 +90,7 @@ Namenode::Namenode(kv::Engine* db, const MetadataSchema* schema, const FsConfig*
   root_.is_dir = true;
   root_.owner = "hdfs";
   root_.group = "hdfs";
-  if (config->hint_proactive_invalidation && config->hint_publish_async) {
-    hint_publisher_ = std::thread([this] { HintPublisherLoop(); });
-  }
+  hint_publisher_ = std::thread([this] { HintPublisherLoop(); });
 }
 
 Namenode::~Namenode() {
@@ -167,7 +165,6 @@ void Namenode::PrimeHintApplied() {
   // publisher's applied mark at its current head instead of replaying the
   // retained backlog, and ack those heads so this namenode's arrival does
   // not hold back the leader's ack-based GC.
-  if (!config_->hint_proactive_invalidation) return;
   auto tx = db_->Begin(kv::TxHint{schema_->hint_heads, 0});
   auto heads = tx->FullTableScan(schema_->hint_heads);
   if (!heads.ok()) {
@@ -199,7 +196,7 @@ hops::Status Namenode::Heartbeat() {
   // the advance as liveness and defer adoption of its orphaned intents.
   HOPS_RETURN_IF_ERROR(CheckAlive());
   hops::Status st = election_.Heartbeat();  // leader side also GCs the hint log
-  if (alive_ && config_->hint_proactive_invalidation) DrainHintInvalidations();
+  if (alive_) DrainHintInvalidations();
   // Failover adoption: once the membership view ages a dead namenode out,
   // the leader replays its acknowledged-but-unapplied intents.
   if (alive_ && intents_ && election_.IsLeader()) AdoptOrphanedIntents();
@@ -209,20 +206,13 @@ hops::Status Namenode::Heartbeat() {
 void Namenode::PublishHintInvalidation(const std::vector<std::string>& prefixes,
                                        SubtreeOp op) {
   for (const std::string& prefix : prefixes) hint_cache_.InvalidatePrefix(prefix);
-  if (!config_->hint_proactive_invalidation || prefixes.empty()) return;
+  if (prefixes.empty()) return;
   // No alive peers: nothing to invalidate remotely, so skip the log append
   // entirely (a peer joining inside the membership-staleness window simply
   // lazy-repairs, which is always safe).
   if (election_.AliveNamenodes().size() <= 1) return;
   HintPublishEvent event{op, prefixes};
-  if (!config_->hint_publish_async) {
-    // Synchronous ablation path: the mutating thread pays the append.
-    std::vector<HintPublishEvent> events;
-    events.push_back(std::move(event));
-    AppendHintPublishes(std::move(events));
-    return;
-  }
-  // Async publish stage: enqueue and return -- the mutation path is done.
+  // Enqueue and return -- the mutation path is done.
   // Every event queued while the publisher thread's current append is in
   // flight coalesces into its next log record.
   {
@@ -285,26 +275,6 @@ void Namenode::AppendHintPublishes(std::vector<HintPublishEvent> events) {
   const std::string paths = EncodeHintPaths(prefixes);
   for (int attempt = 0; attempt < 8; ++attempt) {
     auto tx = db_->Begin(kv::TxHint{schema_->hint_heads, static_cast<uint64_t>(self)});
-    hops::Status st;
-    if (config_->hint_global_seq_lock) {
-      // Ablation: reproduce the pre-sharding global serialization point --
-      // every publisher X-locks this one variables row until commit.
-      auto legacy = tx->Read(schema_->variables, {kVarNextHintInvalidationSeq},
-                             kv::LockMode::kExclusive);
-      if (!legacy.ok()) {
-        if (tx->active()) tx->Abort();
-        if (legacy.status().IsRetryableTx()) continue;
-        return;  // best effort: remote namenodes fall back to lazy repair
-      }
-      st = tx->Update(schema_->variables,
-                      kv::Row{kVarNextHintInvalidationSeq,
-                               (*legacy)[col::kVarValue].i64() + 1});
-      if (!st.ok()) {
-        if (tx->active()) tx->Abort();
-        if (st.IsRetryableTx()) continue;
-        return;
-      }
-    }
     // Allocate the seq under the X lock on OUR OWN head row (a failed
     // locked read still locks the key slot, guarding the first insert), so
     // per-publisher sequence order equals commit order by construction: a
@@ -321,8 +291,8 @@ void Namenode::AppendHintPublishes(std::vector<HintPublishEvent> events) {
     }
     // Monotonic stamp: the GC cutoff must never move backwards under an
     // NTP step (namenodes share a process in this reproduction).
-    st = tx->Insert(schema_->hint_invalidations,
-                    kv::Row{self, seq, op, paths, MonotonicMicros()});
+    hops::Status st = tx->Insert(schema_->hint_invalidations,
+                                 kv::Row{self, seq, op, paths, MonotonicMicros()});
     if (st.ok()) st = tx->Write(schema_->hint_heads, kv::Row{self, seq + 1});
     if (st.ok()) st = tx->Commit();
     if (st.ok()) {
@@ -1543,6 +1513,15 @@ hops::Result<LocatedBlock> Namenode::AddBlock(const std::string& path,
         {
           std::lock_guard<std::mutex> lock(dn_picker_mu_);
           if (dn_picker_) targets = dn_picker_(static_cast<int>(file.replication));
+        }
+        // Two replicas of one block on one datanode would collide on the
+        // ruc primary key: a picker fault, never the client's namespace
+        // error, so it must not surface as kAlreadyExists.
+        std::vector<DatanodeId> distinct = targets;
+        std::sort(distinct.begin(), distinct.end());
+        if (std::adjacent_find(distinct.begin(), distinct.end()) != distinct.end()) {
+          return hops::Status::Internal("datanode picker returned a duplicate target for " +
+                                        path);
         }
         for (DatanodeId dn : targets) {
           Replica ruc{file.id, block_id, dn, ReplicaState::kFinalized};

@@ -86,14 +86,6 @@ inline constexpr size_t kIntentHeadNn = 0, kIntentHeadNext = 1;
 inline constexpr int64_t kVarNextInodeId = 0;
 inline constexpr int64_t kVarNextBlockId = 1;
 inline constexpr int64_t kVarNextNamenodeId = 2;
-// LEGACY global hint-invalidation sequence row. The sharded log keys
-// records by (publisher, per-publisher seq) and orders each partition with
-// the publisher's own hint_heads row, so no live path reads this row any
-// more -- it survives only as the contention injector for the
-// FsConfig::hint_global_seq_lock ablation, which X-locks it in every
-// publish transaction to reproduce the pre-sharding global serialization
-// point.
-inline constexpr int64_t kVarNextHintInvalidationSeq = 3;
 
 // Creates every table and owns their ids.
 struct MetadataSchema {

@@ -29,27 +29,6 @@
 
 namespace hops::fs {
 
-hops::Status Namenode::DeleteInodeRow(kv::Txn& tx, InodeId parent,
-                                      const std::string& name, int depth, bool* existed) {
-  *existed = false;
-  const InodePvPair pv = InodePvCandidates(depth, parent, name);
-  hops::Status st = tx.Delete(schema_->inodes, kv::Key{parent, name}, pv.primary);
-  if (st.ok()) {
-    *existed = true;
-    return st;
-  }
-  if (st.code() != hops::StatusCode::kNotFound) return st;
-  if (pv.dual) {
-    st = tx.Delete(schema_->inodes, kv::Key{parent, name}, pv.alternate);
-    if (st.ok()) {
-      *existed = true;
-      return st;
-    }
-    if (st.code() != hops::StatusCode::kNotFound) return st;
-  }
-  return hops::Status::Ok();  // already gone (crashed predecessor's progress)
-}
-
 hops::Result<Namenode::SubtreeSnapshot> Namenode::SubtreeLockAndQuiesce(
     const std::vector<std::string>& components, SubtreeOp op, const UserContext& user) {
   SubtreeSnapshot snap;
@@ -237,50 +216,13 @@ hops::Status Namenode::SubtreeAbort(const SubtreeSnapshot& snap) {
 
 hops::Status Namenode::DeleteBatch(const std::vector<SubtreeNode>& batch,
                                    const std::vector<Inode>& quota_ancestors) {
-  return config_->subtree_pipelined ? DeleteBatchPipelined(batch, quota_ancestors)
-                                    : DeleteBatchPerRow(batch, quota_ancestors);
-}
-
-// The pre-pipelining baseline: one eager-locking round trip per inode row
-// (two when the primary partition rule misses) plus a fan-out read and a
-// write batch per file. Kept selectable so bench_table4_subtree_ops can
-// measure the pipelined path's round-trip reduction against it.
-hops::Status Namenode::DeleteBatchPerRow(const std::vector<SubtreeNode>& batch,
-                                         const std::vector<Inode>& quota_ancestors) {
-  return RunTx(std::nullopt, [&](kv::Txn& tx) -> hops::Status {
-    int64_t ns_removed = 0;
-    int64_t ss_removed = 0;
-    for (const SubtreeNode& node : batch) {
-      if (!node.is_dir) {
-        Inode as_file;
-        as_file.id = node.id;
-        HOPS_RETURN_IF_ERROR(DeleteFileArtifacts(tx, as_file));
-      }
-      if (node.has_quota) {
-        hops::Status st = tx.Delete(schema_->quotas, {node.id});
-        if (!st.ok() && st.code() != hops::StatusCode::kNotFound) return st;
-      }
-      bool existed = false;
-      HOPS_RETURN_IF_ERROR(DeleteInodeRow(tx, node.parent_id, node.name, node.depth, &existed));
-      if (existed) {
-        ns_removed++;
-        if (!node.is_dir) ss_removed += node.size * node.replication;
-      }
-    }
-    return UpdateQuotaUsage(tx, quota_ancestors, -ns_removed, -ss_removed,
-                            /*enforce=*/false);
-  });
-}
-
-hops::Status Namenode::DeleteBatchPipelined(const std::vector<SubtreeNode>& batch,
-                                            const std::vector<Inode>& quota_ancestors) {
   return RunTx(std::nullopt, [&](kv::Txn& tx) -> hops::Status {
     // Stage 1: reads, all in flight together -- one X-locking existence
     // probe batch covering every inode row at both candidate partition
     // rules (rows that crossed the random-partition boundary in a move keep
     // their insert-time partition), plus one batch carrying every file's
-    // artifact fan-out. Both flush as ONE overlapped window where the
-    // per-row path paid a trip per inode and two per file.
+    // artifact fan-out. Both flush as ONE overlapped window instead of a
+    // trip per inode and two per file.
     struct InodeProbe {
       size_t primary_slot = 0;
       size_t alternate_slot = SIZE_MAX;

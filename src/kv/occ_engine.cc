@@ -166,6 +166,25 @@ bool OccTxn::RowExists(TableId table, uint32_t partition, const std::string& eke
   return live.has_value();
 }
 
+hops::Status OccTxn::RequireLive(TableId table, uint32_t partition, const std::string& ekey) {
+  if (RowExists(table, partition, ekey)) return hops::Status::Ok();
+  auto seen = read_set_.find({table, ekey});
+  if (seen != read_set_.end() &&
+      seen->second.version != CommittedVersion(table, partition, ekey, nullptr)) {
+    return AbortOnKeyConflict(table, "changed before the write was staged");
+  }
+  return hops::Status::NotFound(engine_->schema(table).table_name);
+}
+
+hops::Status OccTxn::AbortOnKeyConflict(TableId table, const char* what) {
+  auto& s = engine_->stats_;
+  s.occ_conflicts.fetch_add(1, std::memory_order_relaxed);
+  s.occ_key_conflicts.fetch_add(1, std::memory_order_relaxed);
+  Abort();
+  return hops::Status::Conflict("validated read of " + engine_->schema(table).table_name +
+                                " " + what);
+}
+
 hops::Result<Row> OccTxn::Read(TableId table, const Key& key, LockMode mode,
                                std::optional<uint64_t> pv) {
   HOPS_RETURN_IF_ERROR(FlushPending());  // per-row ops order after the pipeline
@@ -231,7 +250,7 @@ hops::Status OccTxn::Update(TableId table, Row row, std::optional<uint64_t> pv) 
   std::string ekey = EncodeKey(key);
   const bool fresh = !KeyKnown(table, ekey);
 
-  if (!RowExists(table, partition, ekey)) return hops::Status::NotFound(t.schema.table_name);
+  HOPS_RETURN_IF_ERROR(RequireLive(table, partition, ekey));
   write_set_[{table, ekey}] = StagedWrite{false, std::move(row), partition};
   RecordAccess(AccessKind::kPkWrite, table, {Touch(partition, 1)}, fresh ? 1 : 0);
   return hops::Status::Ok();
@@ -263,7 +282,7 @@ hops::Status OccTxn::Delete(TableId table, const Key& key, std::optional<uint64_
   std::string ekey = EncodeKey(key);
   const bool fresh = !KeyKnown(table, ekey);
 
-  if (!RowExists(table, partition, ekey)) return hops::Status::NotFound(t.schema.table_name);
+  HOPS_RETURN_IF_ERROR(RequireLive(table, partition, ekey));
   write_set_[{table, ekey}] = StagedWrite{true, {}, partition};
   RecordAccess(AccessKind::kPkWrite, table, {Touch(partition, 1)}, fresh ? 1 : 0);
   return hops::Status::Ok();
@@ -429,21 +448,22 @@ hops::Status OccTxn::RunWriteBatchData(WriteBatch& batch, std::vector<Access>& a
         write_set_[{op.table, op.ekey}] = StagedWrite{false, op.row, op.partition};
         break;
       case WriteBatch::Op::Kind::kUpdate:
-        if (!RowExists(op.table, op.partition, op.ekey)) {
-          return hops::Status::NotFound(t.schema.table_name);
-        }
+        HOPS_RETURN_IF_ERROR(RequireLive(op.table, op.partition, op.ekey));
         write_set_[{op.table, op.ekey}] = StagedWrite{false, op.row, op.partition};
         break;
       case WriteBatch::Op::Kind::kWrite:
         write_set_[{op.table, op.ekey}] = StagedWrite{false, op.row, op.partition};
         break;
       case WriteBatch::Op::Kind::kDelete:
-        if (!RowExists(op.table, op.partition, op.ekey)) {
-          if (!op.ignore_missing) return hops::Status::NotFound(t.schema.table_name);
-          staged_rows = 0;
+        if (op.ignore_missing) {
+          if (!RowExists(op.table, op.partition, op.ekey)) {
+            staged_rows = 0;
+            break;
+          }
         } else {
-          write_set_[{op.table, op.ekey}] = StagedWrite{true, {}, op.partition};
+          HOPS_RETURN_IF_ERROR(RequireLive(op.table, op.partition, op.ekey));
         }
+        write_set_[{op.table, op.ekey}] = StagedWrite{true, {}, op.partition};
         break;
     }
     Access& a = access_for(op.table);
@@ -685,14 +705,7 @@ hops::Status OccTxn::Commit() {
     for (const auto& [tk, obs] : read_set_) {
       const auto& [table_id, ekey] = tk;
       uint64_t current = CommittedVersion(table_id, obs.partition, ekey, nullptr);
-      if (current != obs.version) {
-        s.occ_conflicts.fetch_add(1, std::memory_order_relaxed);
-        s.occ_key_conflicts.fetch_add(1, std::memory_order_relaxed);
-        Abort();
-        return hops::Status::Conflict("validated read of " +
-                                      engine_->schema(table_id).table_name +
-                                      " changed before commit");
-      }
+      if (current != obs.version) return AbortOnKeyConflict(table_id, "changed before commit");
     }
     for (const RangeObs& range : range_set_) {
       for (uint32_t partition : range.partitions) {

@@ -142,6 +142,15 @@ class OccTxn final : public Txn {
   // batched write path: staged-write overlay first, committed state second
   // (recording the observation).
   bool RowExists(TableId table, uint32_t partition, const std::string& ekey);
+  // Existence check for staging an update or delete: Ok when the row is
+  // live, NotFound when it is missing. A missing row this transaction
+  // observed at another version than the committed one was deleted under
+  // it; commit validation would fail, so abort now with the same retryable
+  // kConflict instead of a NotFound the caller would take at face value.
+  hops::Status RequireLive(TableId table, uint32_t partition, const std::string& ekey);
+  // Counts a key conflict, aborts, and returns the retryable kConflict.
+  // `table` is taken by value: Abort() frees the read set it may come from.
+  hops::Status AbortOnKeyConflict(TableId table, const char* what);
 
   hops::Result<std::vector<Row>> ScanOnePartition(TableId table, uint32_t partition,
                                                   const std::string& eprefix,

@@ -39,6 +39,22 @@ TEST_F(BlocksTest, AddBlockCreatesRucAndLookup) {
   EXPECT_EQ(Rows(cluster_->schema().replicas), 0u);
 }
 
+TEST_F(BlocksTest, DuplicatePickerTargetIsAnInternalErrorNotANamespaceOne) {
+  // A picker that names one datanode twice would collide two replicas on
+  // one ruc key. AddBlock must refuse it as kInternal -- never as a
+  // kAlreadyExists the client would read as "the path exists" -- and leave
+  // no block, lookup or ruc rows behind.
+  Namenode& nn = cluster_->namenode(0);
+  ASSERT_TRUE(nn.Create("/data/dup", "c").ok());
+  nn.SetDatanodePicker([](int) { return std::vector<DatanodeId>{1, 2, 1}; });
+  auto blk = nn.AddBlock("/data/dup", "c", 100);
+  ASSERT_FALSE(blk.ok());
+  EXPECT_EQ(blk.status().code(), hops::StatusCode::kInternal) << blk.status().ToString();
+  EXPECT_EQ(Rows(cluster_->schema().ruc), 0u);
+  EXPECT_EQ(Rows(cluster_->schema().blocks), 0u);
+  EXPECT_EQ(Rows(cluster_->schema().block_lookup), 0u);
+}
+
 TEST_F(BlocksTest, BlockReceivedPromotesRucToReplica) {
   ASSERT_TRUE(client_->CreateFile("/data/f").ok());
   auto blk = client_->AddBlock("/data/f", 100);

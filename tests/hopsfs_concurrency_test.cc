@@ -269,6 +269,47 @@ TEST_F(ConcurrencyTest, HotspotDirectoryStillCorrectUnderContention) {
   EXPECT_EQ(listing->size(), 80u);
 }
 
+TEST_F(ConcurrencyTest, ConcurrentAddBlocksOnTwoNamenodesPickDistinctLocations) {
+  // Both namenodes draw from the cluster's one shared round-robin counter,
+  // and with 3 datanodes every default-replication block must use all three.
+  // A pick whose walk interleaves with the other namenode's would hand one
+  // block the same datanode twice (a replica-under-construction key clash).
+  // Picks are brief next to a transaction, so it takes thousands of blocks
+  // for their walks to overlap; files rotate to keep each file's block scan
+  // short.
+  constexpr int kNamenodes = 2, kFiles = 20, kBlocksPerFile = 100;
+  hops::ThreadPool pool(kNamenodes);
+  std::atomic<int> failures{0}, bad_locations{0};
+  for (int t = 0; t < kNamenodes; ++t) {
+    pool.Submit([&, t] {
+      Namenode& nn = cluster_->namenode(t);
+      const std::string client = "w" + std::to_string(t);
+      for (int f = 0; f < kFiles; ++f) {
+        const std::string path = "/blk" + std::to_string(t) + "_" + std::to_string(f);
+        if (!nn.Create(path, client).ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        for (int i = 0; i < kBlocksPerFile; ++i) {
+          auto blk = nn.AddBlock(path, client, 1);
+          if (!blk.ok()) {
+            failures.fetch_add(1);
+            continue;
+          }
+          std::vector<DatanodeId> locs = blk->locations;
+          std::sort(locs.begin(), locs.end());
+          if (locs.size() != 3 || std::adjacent_find(locs.begin(), locs.end()) != locs.end()) {
+            bad_locations.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  pool.Wait();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(bad_locations.load(), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Multi-namenode hint staleness: a rename / subtree-rename on NN-A must be
 // survivable on NN-B immediately (lazy repair through the stale hint) and
@@ -421,18 +462,14 @@ TEST(HintInvalidationLogTest, LeaderReapsExpiredRecords) {
 
 class ShardedHintLogTest : public ::testing::Test {
  protected:
-  static std::unique_ptr<MiniCluster> MakeCluster(int num_namenodes, bool publish_async,
-                                                  bool global_seq_lock,
-                                                  std::chrono::milliseconds ttl =
-                                                      std::chrono::milliseconds(600000)) {
+  static std::unique_ptr<MiniCluster> MakeCluster(int num_namenodes) {
     MiniClusterOptions options;
     options.db.num_datanodes = 4;
     options.db.replication = 2;
     options.num_namenodes = num_namenodes;
     options.num_datanodes = 3;
-    options.fs.hint_publish_async = publish_async;
-    options.fs.hint_global_seq_lock = global_seq_lock;
-    options.fs.hint_invalidation_ttl = ttl;
+    // Far beyond any test: records here are reaped by acks alone.
+    options.fs.hint_invalidation_ttl = std::chrono::milliseconds(600000);
     auto cluster = MiniCluster::Start(options);
     EXPECT_TRUE(cluster.ok()) << cluster.status().ToString();
     return *std::move(cluster);
@@ -443,59 +480,13 @@ class ShardedHintLogTest : public ::testing::Test {
   }
 };
 
-TEST_F(ShardedHintLogTest, PublishNeverTouchesTheLegacyGlobalSeqRow) {
-  // The strongest form of "the global serialization point is gone": a
-  // transaction holds the legacy seq row X-locked for the whole test, and a
-  // publish still completes without a single lock wait.
-  auto cluster = MakeCluster(2, /*publish_async=*/true, /*global_seq_lock=*/false);
-  Namenode& a = cluster->namenode(0);
-  ASSERT_TRUE(a.Create("/solo", "c").ok());
-  ASSERT_TRUE(a.CompleteFile("/solo", "c").ok());
-  auto blocker = cluster->db().Begin();
-  ASSERT_TRUE(blocker
-                  ->Read(cluster->schema().variables, {kVarNextHintInvalidationSeq},
-                         ndb::LockMode::kExclusive)
-                  .ok());
-  cluster->db().ResetStats();
-  ASSERT_TRUE(a.Rename("/solo", "/solo2").ok());
-  cluster->FlushHintPublishes();
-  blocker->Abort();
-  EXPECT_EQ(cluster->db().StatsSnapshot().lock_waits, 0u);
-  EXPECT_EQ(a.hint_publish_events(), 1u);
-}
-
-TEST_F(ShardedHintLogTest, GlobalSeqLockAblationBlocksBehindTheSharedRow) {
-  // The baseline the bench compares against: with hint_global_seq_lock the
-  // publish transaction must wait out a holder of the one shared row.
-  auto cluster = MakeCluster(2, /*publish_async=*/false, /*global_seq_lock=*/true);
-  Namenode& a = cluster->namenode(0);
-  ASSERT_TRUE(a.Create("/held", "c").ok());
-  ASSERT_TRUE(a.CompleteFile("/held", "c").ok());
-  auto blocker = cluster->db().Begin();
-  ASSERT_TRUE(blocker
-                  ->Read(cluster->schema().variables, {kVarNextHintInvalidationSeq},
-                         ndb::LockMode::kExclusive)
-                  .ok());
-  cluster->db().ResetStats();
-  std::thread renamer([&] { ASSERT_TRUE(a.Rename("/held", "/held2").ok()); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  ASSERT_TRUE(blocker->Commit().ok());
-  renamer.join();
-  if (cluster->db().kind() == kv::EngineKind::kNdb) {
-    // Lock waits are a 2PL phenomenon; under OCC the publish proceeds
-    // without blocking and the ablation row costs nothing.
-    EXPECT_GE(cluster->db().StatsSnapshot().lock_waits, 1u)
-        << "the synchronous global-seq publish must have blocked on the row";
-  }
-}
-
 TEST_F(ShardedHintLogTest, ConcurrentPublishersShareNoRows) {
   // N namenodes publishing concurrently over disjoint namespaces: the
   // sharded log keeps every publish on its own (head, record) rows, so the
-  // whole run completes with ZERO lock waits anywhere in the database.
+  // whole run -- mutations and the publisher threads' appends alike --
+  // completes with ZERO lock waits anywhere in the database.
   constexpr int kNamenodes = 3, kRenames = 12;
-  auto cluster = MakeCluster(kNamenodes, /*publish_async=*/false,
-                             /*global_seq_lock=*/false);
+  auto cluster = MakeCluster(kNamenodes);
   for (int t = 0; t < kNamenodes; ++t) {
     Namenode& nn = cluster->namenode(t);
     const std::string base = "/pub" + std::to_string(t);
@@ -519,15 +510,17 @@ TEST_F(ShardedHintLogTest, ConcurrentPublishersShareNoRows) {
     });
   }
   pool.Wait();
+  cluster->FlushHintPublishes();
   auto stats = cluster->db().StatsSnapshot();
   EXPECT_EQ(stats.lock_waits, 0u) << "no publisher ever waited on another's rows";
   auto hint = cluster->AggregateHintStats();
-  EXPECT_EQ(hint.publish_events, static_cast<uint64_t>(kNamenodes * kRenames))
-      << "synchronous publishes append one record each";
+  EXPECT_EQ(hint.publish_events + hint.publish_ops_coalesced,
+            static_cast<uint64_t>(kNamenodes * kRenames))
+      << "every rename's event lands in exactly one appended record";
 }
 
 TEST_F(ShardedHintLogTest, LeaderGcReapsByAcksLongBeforeTheTtl) {
-  auto cluster = MakeCluster(3, /*publish_async=*/true, /*global_seq_lock=*/false);
+  auto cluster = MakeCluster(3);
   Namenode& a = cluster->namenode(0);
   ASSERT_TRUE(a.Create("/acked", "c").ok());
   ASSERT_TRUE(a.CompleteFile("/acked", "c").ok());
@@ -546,7 +539,7 @@ TEST_F(ShardedHintLogTest, LeaderGcReapsByAcksLongBeforeTheTtl) {
 }
 
 TEST_F(ShardedHintLogTest, DeadDrainerStopsPinningTheLogOnceDeclaredDead) {
-  auto cluster = MakeCluster(3, /*publish_async=*/true, /*global_seq_lock=*/false);
+  auto cluster = MakeCluster(3);
   Namenode& a = cluster->namenode(0);
   // Kill one drainer BEFORE the publish: it will never ack this record.
   cluster->KillNamenode(2);
@@ -569,7 +562,7 @@ TEST_F(ShardedHintLogTest, DeadDrainerStopsPinningTheLogOnceDeclaredDead) {
 }
 
 TEST_F(ShardedHintLogTest, DeadPublisherRowsAreDrainedThenFullyCleaned) {
-  auto cluster = MakeCluster(3, /*publish_async=*/true, /*global_seq_lock=*/false);
+  auto cluster = MakeCluster(3);
   Namenode& a = cluster->namenode(0);
   Namenode& b = cluster->namenode(1);
   ASSERT_TRUE(a.Mkdirs("/doomed/sub").ok());
@@ -597,7 +590,7 @@ TEST_F(ShardedHintLogTest, OrphanHeadRowsAreSweptAfterAGraceWindow) {
   // behind: a head row (and acks) whose owner has no leader row. The GC
   // re-derives its cleanup list every pass, so the rows are buried once the
   // orphan outlives the grace window -- not leaked forever.
-  auto cluster = MakeCluster(2, /*publish_async=*/true, /*global_seq_lock=*/false);
+  auto cluster = MakeCluster(2);
   {
     auto tx = cluster->db().Begin();
     ASSERT_TRUE(
@@ -619,7 +612,7 @@ TEST_F(ShardedHintLogTest, OrphanHeadRowsAreSweptAfterAGraceWindow) {
 }
 
 TEST_F(ShardedHintLogTest, PausedPublisherCoalescesQueuedOpsIntoOneRecord) {
-  auto cluster = MakeCluster(2, /*publish_async=*/true, /*global_seq_lock=*/false);
+  auto cluster = MakeCluster(2);
   Namenode& a = cluster->namenode(0);
   for (const char* f : {"/co1", "/co2", "/co3"}) {
     ASSERT_TRUE(a.Create(f, "c").ok());
@@ -653,7 +646,7 @@ TEST_F(ShardedHintLogTest, DrainWalksEveryPublisherPartitionByRange) {
   // Interleaved multi-record ranges from two publishers, drained by a third
   // in one tick: the per-publisher applied vector must advance across the
   // re-keyed (nn, seq) ranges without skipping or re-applying.
-  auto cluster = MakeCluster(3, /*publish_async=*/true, /*global_seq_lock=*/false);
+  auto cluster = MakeCluster(3);
   Namenode& a = cluster->namenode(0);
   Namenode& b = cluster->namenode(1);
   Namenode& c = cluster->namenode(2);

@@ -168,6 +168,56 @@ TEST_F(OccConflictTest, ValidatedReadFailsWhenTheRowChangesBeforeCommit) {
   EXPECT_TRUE(t3->Commit().ok());
 }
 
+TEST_F(OccConflictTest, StagingAWriteOverAConcurrentlyDeletedRowIsAConflict) {
+  // t1 read R live; t2 deletes R and commits. t1's delete (or update) of R
+  // is doomed at validation either way, so it must fail NOW with the same
+  // retryable kConflict -- not kNotFound, which a caller would take as
+  // "the row never existed" and report to its client.
+  const kv::Key r{int64_t{1}, int64_t{1}};
+  auto t1 = engine_->Begin();
+  ASSERT_TRUE(t1->Read(table_, r, kv::LockMode::kShared).ok());
+  auto t2 = engine_->Begin();
+  ASSERT_TRUE(t2->Delete(table_, r).ok());
+  ASSERT_TRUE(t2->Commit().ok());
+
+  hops::Status st = t1->Delete(table_, r);
+  EXPECT_EQ(st.code(), StatusCode::kConflict) << st.ToString();
+  EXPECT_TRUE(st.IsRetryableTx());
+  EXPECT_FALSE(t1->active()) << "the doomed attempt is aborted";
+  auto stats = engine_->StatsSnapshot();
+  EXPECT_EQ(stats.occ_conflicts, 1u);
+  EXPECT_EQ(stats.occ_key_conflicts, 1u);
+
+  // The retry (what RunTx does with a retryable status) reads the current
+  // state, finds R gone, and commits without it.
+  auto retry = engine_->Begin();
+  EXPECT_EQ(retry->Read(table_, r, kv::LockMode::kShared).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_TRUE(retry->Commit().ok());
+
+  // Same through Update and through a write batch, on the second row.
+  const kv::Key r2{int64_t{1}, int64_t{2}};
+  auto t3 = engine_->Begin();
+  auto t4 = engine_->Begin();
+  ASSERT_TRUE(t3->Read(table_, r2, kv::LockMode::kShared).ok());
+  ASSERT_TRUE(t4->Read(table_, r2, kv::LockMode::kShared).ok());
+  auto t5 = engine_->Begin();
+  ASSERT_TRUE(t5->Delete(table_, r2).ok());
+  ASSERT_TRUE(t5->Commit().ok());
+  st = t3->Update(table_, kv::Row{int64_t{1}, int64_t{2}, int64_t{21}});
+  EXPECT_EQ(st.code(), StatusCode::kConflict) << st.ToString();
+  kv::WriteBatch batch;
+  batch.Delete(table_, r2);
+  st = t4->Execute(batch);
+  EXPECT_EQ(st.code(), StatusCode::kConflict) << st.ToString();
+  EXPECT_EQ(engine_->StatsSnapshot().occ_key_conflicts, 3u);
+
+  // A key the transaction never observed is still an honest kNotFound.
+  auto fresh = engine_->Begin();
+  EXPECT_EQ(fresh->Delete(table_, r2).code(), StatusCode::kNotFound);
+  fresh->Abort();
+}
+
 TEST_F(OccConflictTest, InsertGuardMakesConcurrentCreateSameKeyLoseCleanly) {
   // Both transactions probe the same ABSENT key (a create's existence check)
   // and then insert it: the absence observation must guard the slot.
@@ -358,6 +408,10 @@ TEST(OccNamenodeTest, IntentLogAppendRacesLoseNoAcks) {
   ASSERT_NE(cluster, nullptr);
   auto setup = cluster->NewClient(fs::NamenodePolicy::kRoundRobin, "setup");
   ASSERT_TRUE(setup.Mkdirs("/async").ok());
+  // Read-your-writes holds per namenode only, and the writers below may
+  // stick to a namenode other than the one that acked the parent: apply it
+  // before they create under it.
+  cluster->DrainIntents();
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 20;
