@@ -2,8 +2,11 @@
 // fronting the namenode's transactional operations. Client calls enqueue a
 // request and block until a handler has executed it; each handler owns the
 // transaction(s) of the request it is running, so with N handlers a
-// namenode drives up to N concurrent transactions -- whose flush windows
-// the NDB layer's completion mux merges into shared overlapped round trips.
+// namenode drives up to N concurrent transactions. Each handler runs its
+// own transaction's work on its own thread; the NDB layer's completion mux
+// only combines the lock passes of windows submitted together (whichever
+// handler finds no round running does the pass for all of them), so those
+// windows share one overlapped round trip.
 // The pool bounds namenode-side concurrency the way HDFS/HopsFS handler
 // counts do, while any number of client threads may be enqueued behind it.
 #pragma once

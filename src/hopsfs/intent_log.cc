@@ -25,7 +25,7 @@ bool PrefixRelated(const std::string& a, const std::string& b) {
 
 // "/a/b/c" -> "/a/b". Mutations X-lock the parent inode, so two in-flight
 // applies under one parent would only defer-and-retry each other in the
-// mux's lock pass -- pure overhead on the shared completion thread.
+// mux's lock pass -- pure overhead on every combiner that retries them.
 std::string_view ParentOf(const std::string& path) {
   const size_t pos = path.rfind('/');
   if (pos == std::string::npos || pos == 0) return std::string_view("/");
@@ -344,10 +344,10 @@ hops::Status IntentLog::AppendBatchTx(std::vector<std::shared_ptr<AppendWaiter>>
   for (int attempt = 0; attempt < 8; ++attempt) {
     auto tx = db_->Begin(kv::TxHint{schema_->intent_heads, static_cast<uint64_t>(self_)});
     if (sink) tx->EnableTrace();
-    // The append IS the acknowledgment: flush solo rather than queue in the
-    // completion mux behind apply/handler throughput work. Its only lock is
-    // our own head row, which nothing outside this (appending_-serialized)
-    // path X-locks while the namenode is alive.
+    // The append IS the acknowledgment: flush solo rather than share the
+    // completion mux's rounds with apply/handler throughput work. Its only
+    // lock is our own head row, which nothing outside this
+    // (appending_-serialized) path X-locks while the namenode is alive.
     tx->SetLatencySensitive(true);
     // Allocate the seq range under the X lock on OUR OWN head row (a failed
     // locked read still locks the key slot, guarding the first insert):
@@ -563,9 +563,9 @@ void IntentLog::DeleteIntentRows(const std::vector<IntentRecord>& recs) {
       tx->SetBackground(true);
     }
     // Applied rows are touched by nobody but us (an adopter only sweeps dead
-    // namenodes), so run the delete solo on this thread rather than taxing
-    // the shared completion loop with it -- the mux's cycles belong to the
-    // apply transactions racing the drain.
+    // namenodes), so run the delete solo on this thread rather than adding
+    // it to the mux's shared lock rounds -- those belong to the apply
+    // transactions racing the drain.
     tx->SetLatencySensitive(true);
     hops::Status st;
     for (const auto& rec : recs) {

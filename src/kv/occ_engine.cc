@@ -578,13 +578,31 @@ hops::Result<std::vector<Row>> OccTxn::ScanOnePartition(TableId table, uint32_t 
   // Snapshot the committed live candidates, then overlay this transaction's
   // staged writes (read-your-writes). Lock modes cost nothing here; a
   // validated scan's stability comes from the range check at commit.
+  //
+  // A take-and-release scan waits out every in-flight lock holder under
+  // 2PL (the subtree quiesce). OCC has no holders to wait for, so it
+  // re-stamps the rows it scans at a new commit version instead: an
+  // in-flight transaction that observed one of them (an inode op holding
+  // its parent directory) fails validation and retries, where under 2PL it
+  // would have finished before the scan.
   std::map<std::string, Row> merged;
   {
-    std::lock_guard<std::mutex> lock(p.mu);
-    for (auto it = p.rows.lower_bound(eprefix); it != p.rows.end(); ++it) {
-      if (!eprefix.empty() && it->first.compare(0, eprefix.size(), eprefix) != 0) break;
-      if (!it->second.tombstone) merged.emplace(it->first, it->second.row);
+    std::unique_lock<std::mutex> commit_lock(engine_->commit_mu_, std::defer_lock);
+    uint64_t restamp = 0;
+    if (opts.take_and_release) {
+      commit_lock.lock();
+      restamp = engine_->commit_version_.load(std::memory_order_relaxed) + 1;
     }
+    {
+      std::lock_guard<std::mutex> lock(p.mu);
+      for (auto it = p.rows.lower_bound(eprefix); it != p.rows.end(); ++it) {
+        if (!eprefix.empty() && it->first.compare(0, eprefix.size(), eprefix) != 0) break;
+        if (it->second.tombstone) continue;
+        if (restamp != 0) it->second.version = restamp;
+        merged.emplace(it->first, it->second.row);
+      }
+    }
+    if (restamp != 0) engine_->commit_version_.store(restamp, std::memory_order_release);
   }
   for (const auto& [tk, staged] : write_set_) {
     const auto& [wt, wekey] = tk;

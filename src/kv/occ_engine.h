@@ -15,6 +15,10 @@
 //    fails if any key under the prefix -- including tombstones -- carries a
 //    newer version. This is the phantom check a 2PL locking scan gets from
 //    holding its row locks.
+//  * Take-and-release scans (the subtree quiesce) re-stamp every live row
+//    they scan at a new commit version, so any in-flight transaction that
+//    observed one of those rows fails validation -- the OCC analogue of
+//    2PL's waiting out the lock holders.
 //  * Writes (insert/update/upsert/delete) stage client-side in the write
 //    set; existence-checking writes record a read-set observation so a
 //    racing writer is caught. Blind upserts (Write) stage without

@@ -20,8 +20,7 @@ Cluster::Cluster(ClusterConfig config) : config_(config) {
   if (config_.use_completion_mux) mux_ = std::make_unique<CompletionMux>(this);
 }
 
-// Stops the completion loop before the tables it flushes against go away.
-Cluster::~Cluster() { mux_.reset(); }
+Cluster::~Cluster() = default;
 
 hops::Result<TableId> Cluster::CreateTable(Schema schema) {
   std::string error;

@@ -46,30 +46,33 @@ struct ClusterConfig {
   // whole window, so a transaction never exceeds this many in flight.
   uint32_t max_in_flight_batches = 8;
   // Cross-transaction completion mux (the shared sendPollNdb reactor): one
-  // completion loop per cluster onto which every transaction's in-flight
-  // windows are registered, so windows from N concurrent handler
-  // transactions flush as one overlapped round trip instead of N. false =
-  // every transaction flushes its own windows (the per-transaction path,
-  // kept selectable for comparison benches).
+  // per cluster, run by flat combining -- whichever handler submits a window
+  // while no round is running takes every queued window's locks in one
+  // combined pass, and each handler then runs its own window's data work --
+  // so windows from N concurrent handler transactions flush as one
+  // overlapped round trip instead of N. false = every transaction flushes
+  // its own windows (the per-transaction path, kept selectable for
+  // comparison benches).
   bool use_completion_mux = true;
-  // How often the mux loop retries windows deferred on a row-lock conflict
-  // (the conflict holder's handler is free to commit meanwhile; retries are
-  // bounded by lock_wait_timeout).
+  // How often a deferred window's owner retries it when no lock release or
+  // other round has (the conflict holder's commit retries it at once;
+  // retries are bounded by lock_wait_timeout).
   std::chrono::microseconds mux_retry_interval{100};
   // Adaptive gather delay: when the previous mux round merged windows from
-  // more than one transaction, the loop waits up to mux_gather_delay for
-  // further submissions before flushing the next round -- under load the
-  // next window is usually microseconds away, and gathering it merges one
-  // more trip into the shared flush. Rounds after a no-merge round flush
-  // eagerly, so an idle or single-handler cluster never pays the delay.
+  // more than one transaction, the next combiner waits up to
+  // mux_gather_delay for further submissions before running its round --
+  // under load the next window is usually microseconds away, and gathering
+  // it merges one more trip into the shared flush. Rounds after a no-merge
+  // round flush eagerly, so an idle or single-handler cluster never pays
+  // the delay.
   bool mux_adaptive_gather = false;
   // When true (the default), mux_adaptive_gather above is a placeholder the
   // embedding layer may resolve from its own concurrency knowledge --
   // fs::MiniCluster turns the gather delay on once the namenode handler pool
   // is wide enough that trailing windows are usually microseconds away (see
   // bench_fig07's sweep). Code that sets mux_adaptive_gather explicitly
-  // should clear this so the policy leaves the choice alone. The raw mux
-  // loop only ever reads mux_adaptive_gather.
+  // should clear this so the policy leaves the choice alone. The mux itself
+  // only ever reads mux_adaptive_gather.
   bool mux_adaptive_gather_auto = true;
   std::chrono::microseconds mux_gather_delay{4};
 };
@@ -200,9 +203,9 @@ class Transaction {
   // client, so the DES model stops the op's latency clock at the first
   // background access while the drain still occupies database stations.
   void SetBackground(bool background) { background_ = background; }
-  // Keeps this transaction's flush windows on the calling thread instead of
-  // the shared completion loop: no merging with other transactions' round
-  // trips, but also no queueing behind them. For latency-critical
+  // Keeps this transaction's flush windows out of the shared completion
+  // mux: no merging with other transactions' round trips, but also no
+  // waiting on their rounds or gather delay. For latency-critical
   // control-path transactions (e.g. the intent log's acknowledged append)
   // whose wait in the mux line would dwarf their own work. Lock waits then
   // block the calling thread, exactly like a mux-less cluster.
@@ -272,8 +275,8 @@ class Transaction {
   // True when the current window may flush through the shared completion
   // mux: no staged-order member (external lock order must not mix with the
   // mux's global-order pass) and no locking scan (whose row set -- and so
-  // its lock waits -- only appears during execution, which would block the
-  // shared loop).
+  // its lock waits -- only appears during execution, after the mux's
+  // non-blocking lock pass).
   bool WindowMuxEligible() const;
   // Non-blocking row-lock acquisition for the mux's combined lock pass.
   // Returns false (without waiting) when the lock is contended; on success
@@ -288,8 +291,8 @@ class Transaction {
   // Steps an exclusive lock back down to the shared mode held before an
   // upgrade (deferred-window rollback; atomic, no steal window).
   void DowngradeRowLock(TableId table, uint32_t partition, const std::string& ekey);
-  // Phase-3 data work for a whole routed + locked window, shared by the
-  // local flush and the mux: runs each member in preparation order, stores
+  // Phase-3 data work for a whole routed + locked window, whichever path
+  // took its locks: runs each member in preparation order, stores
   // outcomes in batch_results_, poisons pipeline_error_ on the first
   // failure (members behind it report kTxAborted), counts the
   // sync-equivalent trips of the members that ran, and appends the window's
@@ -313,7 +316,7 @@ class Transaction {
   Cluster* cluster_;
   const TxId id_;
   const uint32_t coordinator_;
-  // Shared completion loop this transaction's windows flush through
+  // Shared completion mux this transaction's windows take their locks in
   // (attached at Begin when the cluster runs one; null = per-transaction
   // flushing).
   CompletionMux* mux_ = nullptr;
@@ -348,7 +351,7 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  // The shared cross-transaction completion loop; null when the cluster was
+  // The shared cross-transaction completion mux; null when the cluster was
   // configured with use_completion_mux = false (per-transaction flushing).
   CompletionMux* mux() const { return mux_.get(); }
 

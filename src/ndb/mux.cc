@@ -5,44 +5,65 @@
 
 namespace hops::ndb {
 
-CompletionMux::CompletionMux(Cluster* cluster) : cluster_(cluster) {
-  loop_ = std::thread([this] { Loop(); });
-}
-
-CompletionMux::~CompletionMux() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
-  }
-  wake_.notify_all();
-  loop_.join();
-}
-
-hops::Status CompletionMux::SubmitAndWait(Transaction* tx) {
-  auto sub = std::make_shared<Submission>();
-  sub->tx = tx;
-  sub->window = std::move(tx->in_flight_);
-  tx->in_flight_.clear();
-  sub->deadline = std::chrono::steady_clock::now() + cluster_->config().lock_wait_timeout;
+hops::Status CompletionMux::SubmitAndWait(
+    Transaction* tx, const std::vector<std::vector<Transaction::LockRequest>>& plans, bool pays,
+    Trip* trip) {
+  using State = Submission::State;
+  Submission sub;
+  sub.tx = tx;
+  sub.plans = &plans;
+  sub.pays = pays;
+  sub.deadline = std::chrono::steady_clock::now() + cluster_->config().lock_wait_timeout;
 
   std::unique_lock<std::mutex> lk(mu_);
-  if (stop_) {
-    auto st = hops::Status::TxAborted("completion mux stopped");
-    for (const auto& f : sub->window) tx->batch_results_[f.seq] = st;
-    return st;
+  queue_.push_back(&sub);
+  if (gathering_) gather_cv_.notify_one();
+  // A fresh window runs a round at once unless a gathering combiner will
+  // take it or the mux is paused. A deferred window's own retry round runs
+  // only when no round has retried it since its owner went to sleep.
+  bool run = true;
+  while (sub.state == State::kQueued || sub.state == State::kDeferred) {
+    if (run && !gathering_ && !paused_) {
+      RunRound(lk);
+      run = false;
+      continue;
+    }
+    const uint64_t seen = rounds_;
+    if (sub.state == State::kDeferred) {
+      sub.cv.wait_until(lk, std::min(sub.deadline, std::chrono::steady_clock::now() +
+                                                       cluster_->config().mux_retry_interval));
+    } else {
+      sub.cv.wait(lk);
+    }
+    run = sub.state == State::kQueued || rounds_ == seen;
   }
-  queue_.push_back(sub);
-  wake_.notify_all();
-  done_.wait(lk, [&] { return sub->done; });
-  return sub->result;
+  const bool timed_out = sub.state == State::kTimedOut;
+  *trip = sub.trip;
+  lk.unlock();
+  if (timed_out) {
+    // Exactly like a blocked per-transaction acquisition: the transaction
+    // aborts. Abort() re-enters NotifyLocksReleased, which takes mu_, so it
+    // runs here on the owner's thread and never under the combiner's lock.
+    cluster_->stats_.lock_timeouts.fetch_add(1, std::memory_order_relaxed);
+    tx->Abort();
+    return hops::Status::LockTimeout("row lock wait timed out");
+  }
+  return hops::Status::Ok();
+}
+
+void CompletionMux::RetryDeferred() {
+  std::unique_lock<std::mutex> lk(mu_);
+  if (!deferred_.empty() && !gathering_ && !paused_) RunRound(lk);
 }
 
 void CompletionMux::SetPausedForTesting(bool paused) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    paused_ = paused;
-  }
-  wake_.notify_all();
+  std::lock_guard<std::mutex> lk(mu_);
+  paused_ = paused;
+  gather_cv_.notify_one();
+  if (paused) return;
+  // Every parked owner re-checks; the first to take mu_ runs the round.
+  for (Submission* sub : queue_) sub->cv.notify_one();
+  for (Submission* sub : deferred_) sub->cv.notify_one();
 }
 
 size_t CompletionMux::QueuedForTesting() const {
@@ -50,163 +71,51 @@ size_t CompletionMux::QueuedForTesting() const {
   return queue_.size();
 }
 
-void CompletionMux::Complete(const std::shared_ptr<Submission>& sub, hops::Status result) {
-  std::lock_guard<std::mutex> lk(mu_);
-  sub->result = std::move(result);
-  sub->done = true;
-  done_.notify_all();
-}
-
-void CompletionMux::Loop() {
-  std::vector<std::shared_ptr<Submission>> active;
-  // Did the previous round merge windows from more than one transaction?
-  // Under the adaptive gather policy that is the evidence that handlers are
-  // submitting close together, so holding the door open a few microseconds
-  // will likely merge one more trip into the shared flush.
-  bool merged_recently = false;
-  for (;;) {
-    bool paused;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      auto ready = [&] { return stop_ || (!paused_ && !queue_.empty()); };
-      if (active.empty()) {
-        const auto idle_start = std::chrono::steady_clock::now();
-        wake_.wait(lk, ready);
-        // A long idle gap ends the burst the gather delay was betting on:
-        // the first submission after it must not pay a wait for trailing
-        // windows that cannot exist. Short blocks between back-to-back
-        // rounds (the bursty regime the gather exists for) keep the signal.
-        if (merged_recently &&
-            std::chrono::steady_clock::now() - idle_start > std::chrono::milliseconds(100)) {
-          merged_recently = false;
-        }
-      } else if (!ready()) {
-        // Deferred windows: retry soon; the conflicting holder's handler is
-        // free and will release its locks at commit.
-        wake_.wait_for(lk, cluster_->config().mux_retry_interval);
-      }
-      if (stop_) {
-        // Defensive drain (mu_ is already held here, so complete inline
-        // rather than through Complete()). A submission still parked at
-        // this point means the cluster is being torn down under live
-        // transactions -- a caller contract violation -- but fail it
-        // cleanly rather than leave the handler parked forever.
-        auto st = hops::Status::TxAborted("completion mux stopped");
-        while (!queue_.empty()) {
-          active.push_back(queue_.front());
-          queue_.pop_front();
-        }
-        for (auto& sub : active) {
-          for (const auto& f : sub->window) sub->tx->batch_results_[f.seq] = st;
-          sub->result = st;
-          sub->done = true;
-        }
-        done_.notify_all();
-        return;
-      }
-      paused = paused_;
-      if (!paused) {
-        size_t popped = 0;
-        while (!queue_.empty()) {
-          active.push_back(queue_.front());
-          queue_.pop_front();
-          popped++;
-        }
-        // Gate on a fresh submission this wakeup: a retry pass over only
-        // deferred windows is waiting out a lock holder, not trailing
-        // submissions -- gathering there would just delay the retry and
-        // inflate the stat.
-        if (cluster_->config().mux_adaptive_gather && merged_recently && popped > 0) {
-          // Gather: recent rounds merged, so wait briefly for more windows
-          // before flushing. A submission, stop or pause wakes us early; an
-          // idle cluster (no recent merge) never reaches this wait.
-          cluster_->stats_.mux_gather_waits.fetch_add(1, std::memory_order_relaxed);
-          wake_.wait_for(lk, cluster_->config().mux_gather_delay,
-                         [&] { return stop_ || paused_ || !queue_.empty(); });
-          size_t gathered = 0;
-          if (!stop_ && !paused_) {
-            while (!queue_.empty()) {
-              active.push_back(queue_.front());
-              queue_.pop_front();
-              gathered++;
-            }
-          }
-          if (gathered > 0) {
-            cluster_->stats_.mux_gathered_windows.fetch_add(gathered,
-                                                            std::memory_order_relaxed);
-          }
-          paused = paused_;  // pausing mid-gather parks the round, not runs it
-          if (stop_) continue;  // the top of the loop runs the stop drain
-        }
-      }
-    }
-    if (paused || active.empty()) continue;
-    merged_recently = RunRound(active) > 1;
+void CompletionMux::RunRound(std::unique_lock<std::mutex>& lk) {
+  using State = Submission::State;
+  const ClusterConfig& cfg = cluster_->config();
+  auto& s = cluster_->stats_;
+  // A long idle gap ends the burst the gather delay was betting on: the
+  // first submission after it must not pay a wait for trailing windows that
+  // cannot exist.
+  if (std::chrono::steady_clock::now() - last_round_ > std::chrono::milliseconds(100)) {
+    merged_recently_ = false;
   }
-}
+  // Gate on a fresh submission: a retry pass over only deferred windows is
+  // waiting out a lock holder, not trailing submissions -- gathering there
+  // would just delay the retry and inflate the stat.
+  if (cfg.mux_adaptive_gather && merged_recently_ && !queue_.empty()) {
+    s.mux_gather_waits.fetch_add(1, std::memory_order_relaxed);
+    const size_t before = queue_.size();
+    gathering_ = true;
+    gather_cv_.wait_for(lk, cfg.mux_gather_delay,
+                        [&] { return paused_ || queue_.size() > before; });
+    gathering_ = false;
+    if (paused_) return;  // pausing mid-gather parks the round, not runs it
+    if (queue_.size() > before) {
+      s.mux_gathered_windows.fetch_add(queue_.size() - before, std::memory_order_relaxed);
+    }
+  }
 
-size_t CompletionMux::RunRound(std::vector<std::shared_ptr<Submission>>& active) {
+  std::vector<Submission*> active = std::move(deferred_);
+  deferred_.clear();
+  active.insert(active.end(), queue_.begin(), queue_.end());
+  queue_.clear();
   const size_t n = active.size();
-  constexpr size_t kNone = static_cast<size_t>(-1);
-  struct RoundState {
-    std::vector<std::vector<Transaction::LockRequest>> plans;  // per window member
-    std::vector<bool> pays;
-    bool routed = false;      // routing succeeded this round
-    bool deferred = false;    // hit a contended row; retry next round
-    bool finished = false;    // completed (result delivered) this round
-    bool solo_rt = false;     // would pay its own trip flushing alone
-    // Locks newly taken (or upgraded shared->exclusive) for this window in
-    // this round's pass, handed back (or stepped back down) if the window
-    // defers -- a deferred window holds nothing it did not already hold.
-    std::vector<std::tuple<TableId, uint32_t, std::string>> fresh;
-    std::vector<std::tuple<TableId, uint32_t, std::string>> upgraded;
-    std::vector<Access> accesses;
-    hops::Status result;
-  };
-  std::vector<RoundState> st(n);
+  deferred_count_.store(n);
 
-  // Phase 1: route every member of every window; build per-window lock
-  // plans. A routing failure fails only that window (every member reports
-  // the same cause), exactly as a per-transaction flush would.
-  for (size_t i = 0; i < n; ++i) {
-    Submission& sub = *active[i];
-    Transaction* tx = sub.tx;
-    RoundState& rs = st[i];
-    rs.plans.assign(sub.window.size(), {});
-    hops::Status route;
-    for (size_t m = 0; m < sub.window.size() && route.ok(); ++m) {
-      auto& f = sub.window[m];
-      route = f.read != nullptr ? tx->RouteReadBatch(*f.read, rs.plans[m])
-                                : tx->RouteWriteBatch(*f.write, rs.plans[m]);
-    }
-    if (!route.ok()) {
-      for (const auto& f : sub.window) tx->batch_results_[f.seq] = route;
-      rs.finished = true;
-      rs.result = route;
-      continue;
-    }
-    rs.routed = true;
-    rs.pays = tx->ComputeWindowPays(sub.window, rs.plans);
-    // A window pays its own trip flushing alone exactly when any member
-    // pays (read members always do; a write member iff some lock is
-    // genuinely fresh -- the same predicate ComputeWindowPays applies).
-    rs.solo_rt = std::find(rs.pays.begin(), rs.pays.end(), true) != rs.pays.end();
-  }
-
-  // Phase 2: ONE combined lock pass in the global (table, partition,
-  // encoded key) order across every transaction in the round. Acquisition
-  // never blocks: a contended request defers its whole window -- freshly
-  // taken locks are handed back so the loop holds no lock any parked
-  // handler could be waiting to see released -- and the window retries next
-  // round (bounded by its lock-wait deadline).
+  // ONE combined lock pass in the global (table, partition, encoded key)
+  // order across every transaction in the round. Acquisition never blocks:
+  // a contended request defers its whole window -- freshly taken locks are
+  // handed back and upgrades stepped back down, so a deferred window holds
+  // no lock a parked handler could be waiting to see released.
   struct Entry {
     size_t sub;
     const Transaction::LockRequest* req;
   };
   std::vector<Entry> combined;
   for (size_t i = 0; i < n; ++i) {
-    if (!st[i].routed) continue;
-    for (const auto& plan : st[i].plans) {
+    for (const auto& plan : *active[i]->plans) {
       for (const auto& req : plan) {
         if (req.mode != LockMode::kReadCommitted) combined.push_back(Entry{i, &req});
       }
@@ -216,105 +125,61 @@ size_t CompletionMux::RunRound(std::vector<std::shared_ptr<Submission>>& active)
     return std::tie(a.req->table, a.req->partition, a.req->ekey) <
            std::tie(b.req->table, b.req->partition, b.req->ekey);
   });
+  using RowId = std::tuple<TableId, uint32_t, std::string>;
+  std::vector<bool> deferred(n, false);
+  std::vector<std::vector<RowId>> fresh(n), upgraded(n);
   for (const Entry& e : combined) {
-    RoundState& rs = st[e.sub];
-    if (!rs.routed || rs.deferred) continue;
+    if (deferred[e.sub]) continue;
     Transaction* tx = active[e.sub]->tx;
-    bool fresh = false, upgraded = false;
+    bool is_fresh = false, is_upgrade = false;
     if (tx->TryAcquireRowLock(e.req->table, e.req->partition, e.req->ekey, e.req->mode,
-                              &fresh, &upgraded)) {
-      if (fresh) rs.fresh.emplace_back(e.req->table, e.req->partition, e.req->ekey);
-      if (upgraded) rs.upgraded.emplace_back(e.req->table, e.req->partition, e.req->ekey);
+                              &is_fresh, &is_upgrade)) {
+      if (is_fresh) fresh[e.sub].emplace_back(e.req->table, e.req->partition, e.req->ekey);
+      if (is_upgrade) upgraded[e.sub].emplace_back(e.req->table, e.req->partition, e.req->ekey);
     } else {
-      rs.deferred = true;
-      for (const auto& [t, p, k] : rs.fresh) tx->DropRowLock(t, p, k);
-      for (const auto& [t, p, k] : rs.upgraded) tx->DowngradeRowLock(t, p, k);
-      rs.fresh.clear();
-      rs.upgraded.clear();
+      deferred[e.sub] = true;
+      for (const auto& [t, p, k] : fresh[e.sub]) tx->DropRowLock(t, p, k);
+      for (const auto& [t, p, k] : upgraded[e.sub]) tx->DowngradeRowLock(t, p, k);
     }
   }
 
-  // Deferred windows past their lock-wait deadline time out exactly like a
-  // blocked per-transaction acquisition: the transaction aborts and every
-  // member reports kLockTimeout.
+  // Deferred windows past their lock-wait deadline time out; the rest wait
+  // for a later round. Accounting: the whole round is ONE shared round trip
+  // (if any granted window would have paid one), carried by the first
+  // paying window; every other paying window is co-scheduled on it. Each
+  // owner books its own window's trips after its data work, preserving
+  // round_trips + overlapped_round_trips == sync-equivalent trips.
   const auto now = std::chrono::steady_clock::now();
+  size_t granted = 0, paying = 0;
   for (size_t i = 0; i < n; ++i) {
-    if (!st[i].deferred || now < active[i]->deadline) continue;
-    auto timeout = hops::Status::LockTimeout("row lock wait timed out");
-    Transaction* tx = active[i]->tx;
-    for (const auto& f : active[i]->window) tx->batch_results_[f.seq] = timeout;
-    cluster_->stats_.lock_timeouts.fetch_add(1, std::memory_order_relaxed);
-    tx->Abort();
-    st[i].deferred = false;
-    st[i].finished = true;
-    st[i].result = timeout;
-  }
-
-  // Phase 3: data work per window, each transaction against its own write
-  // set (read-your-writes stays per-transaction; other members' staged
-  // writes are invisible until their commit). Errors poison only the owning
-  // transaction.
-  size_t carrier = kNone, flushed = 0, paying = 0, total_sync = 0;
-  for (size_t i = 0; i < n; ++i) {
-    RoundState& rs = st[i];
-    if (!rs.routed || rs.deferred || rs.finished) continue;
     Submission& sub = *active[i];
-    size_t sync_equiv = 0, read_members = 0;
-    rs.result = sub.tx->RunWindowData(sub.window, rs.pays, rs.accesses, &sync_equiv,
-                                      &read_members);
-    rs.finished = true;
-    flushed++;
-    total_sync += sync_equiv;
-    if (rs.solo_rt) {
-      paying++;
-      if (carrier == kNone) carrier = i;
-    }
-  }
-
-  // Accounting: the whole round is ONE shared round trip (if any window
-  // would have paid one), assigned to the first paying window; every other
-  // paying window's opening access is marked co-scheduled so trace replay
-  // still sees a window boundary but charges no second trip. The saving is
-  // recorded exactly once for the round -- no per-member double counting --
-  // preserving round_trips + overlapped_round_trips == sync-equivalent
-  // trips.
-  const uint32_t rt = carrier != kNone ? 1 : 0;
-  if (carrier != kNone && !st[carrier].accesses.empty()) {
-    st[carrier].accesses.front().round_trips = rt;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (i == carrier || !st[i].finished || !st[i].solo_rt || st[i].accesses.empty()) continue;
-    if (!st[i].routed) continue;  // route failures never reached the wire
-    st[i].accesses.front().co_scheduled = true;
-  }
-  auto& s = cluster_->stats_;
-  if (rt > 0) s.round_trips.fetch_add(rt, std::memory_order_relaxed);
-  if (rt > 0 && total_sync > rt) {
-    s.overlapped_round_trips.fetch_add(total_sync - rt, std::memory_order_relaxed);
-  }
-  if (paying > rt) {
-    s.cross_tx_overlapped_round_trips.fetch_add(paying - rt, std::memory_order_relaxed);
-  }
-  if (flushed > 0) {
-    s.mux_rounds.fetch_add(1, std::memory_order_relaxed);
-    s.mux_windows.fetch_add(flushed, std::memory_order_relaxed);
-  }
-
-  // Deliver traces and results, keep deferred windows for the next round.
-  std::vector<std::shared_ptr<Submission>> remaining;
-  for (size_t i = 0; i < n; ++i) {
-    if (st[i].finished) {
-      Transaction* tx = active[i]->tx;
-      if (tx->trace_enabled_) {
-        for (auto& a : st[i].accesses) tx->trace_.accesses.push_back(std::move(a));
-      }
-      Complete(active[i], st[i].result);
+    if (deferred[i] && now < sub.deadline) {
+      deferred_.push_back(&sub);
+      if (sub.state == State::kDeferred) continue;
+      sub.state = State::kDeferred;  // its owner switches to a timed retry wait
+    } else if (deferred[i]) {
+      sub.state = State::kTimedOut;
     } else {
-      remaining.push_back(active[i]);
+      granted++;
+      if (sub.pays) sub.trip = paying++ == 0 ? Trip::kCarries : Trip::kCoScheduled;
+      sub.state = State::kGranted;
     }
+    sub.cv.notify_one();
   }
-  active = std::move(remaining);
-  return flushed;
+  if (paying > 1) {
+    s.cross_tx_overlapped_round_trips.fetch_add(paying - 1, std::memory_order_relaxed);
+  }
+  if (granted > 0) {
+    s.mux_rounds.fetch_add(1, std::memory_order_relaxed);
+    s.mux_windows.fetch_add(granted, std::memory_order_relaxed);
+  }
+  // > 1 means windows from different transactions merged (each submission
+  // is one transaction's whole window and its owner is parked) -- the
+  // signal the adaptive gather delay keys off.
+  merged_recently_ = granted > 1;
+  rounds_++;
+  last_round_ = now;
+  deferred_count_.store(deferred_.size());
 }
 
 }  // namespace hops::ndb

@@ -48,7 +48,7 @@ class Partition {
                            bool* waited = nullptr);
   // Grants the lock only if that is possible without waiting; returns false
   // (leaving the lock table untouched) otherwise. The completion mux uses
-  // this so its shared loop never blocks on a row lock: a window that cannot
+  // this so its combiner never blocks on a row lock: a window that cannot
   // lock immediately is deferred and retried instead.
   bool TryAcquireLock(TxId tx, const std::string& ekey, LockMode mode);
   // Atomically steps an exclusive lock held by `tx` back down to shared

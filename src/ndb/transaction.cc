@@ -571,15 +571,12 @@ void Transaction::DowngradeRowLock(TableId table, uint32_t partition, const std:
 
 hops::Status Transaction::FlushPending() {
   if (in_flight_.empty()) return hops::Status::Ok();
-  // A mux-eligible window registers with the cluster's shared completion
-  // loop, where it may merge with other transactions' windows into one
-  // overlapped round trip. Staged-order and locking-scan windows keep the
-  // per-transaction path (their lock waits must happen on this thread), as
-  // do latency-sensitive transactions (their wait in the mux line would
-  // dwarf their own work).
-  if (mux_ != nullptr && !latency_sensitive_ && WindowMuxEligible()) {
-    return mux_->SubmitAndWait(this);
-  }
+  // A mux-eligible window takes its locks in the cluster's shared completion
+  // mux, where its round trip may merge with other transactions' windows.
+  // Staged-order and locking-scan windows keep the per-transaction lock path
+  // (their lock waits must happen on this thread), as do latency-sensitive
+  // transactions (their wait in the mux line would dwarf their own work).
+  const bool via_mux = mux_ != nullptr && !latency_sensitive_ && WindowMuxEligible();
   std::vector<InFlightBatch> flight = std::move(in_flight_);
   in_flight_.clear();
 
@@ -602,19 +599,25 @@ hops::Status Transaction::FlushPending() {
 
   std::vector<bool> pays = ComputeWindowPays(flight, plans);
 
-  // Phase 2: acquire the whole window's lock set. The default merges every
-  // member's requests into ONE sorted pass -- the global (table, partition,
-  // encoded key) order holds across in-flight batches, so two transactions
-  // each pipelining several batches still cannot deadlock. A kStagedOrder
-  // member (rename lock phases, whose total order is the *path* order
-  // shared with per-row lockers) instead acquires exactly as staged;
-  // PrepareBatch isolates such a batch in its own window, so the two
+  // Phase 2: acquire the whole window's lock set. Through the mux, one
+  // combined non-blocking pass takes the locks of every window in its round
+  // in the global (table, partition, encoded key) order across
+  // transactions. Otherwise the default merges every member's requests into
+  // ONE sorted pass -- the same global order across in-flight batches, so
+  // two transactions each pipelining several batches still cannot deadlock.
+  // A kStagedOrder member (rename lock phases, whose total order is the
+  // *path* order shared with per-row lockers) instead acquires exactly as
+  // staged; PrepareBatch isolates such a batch in its own window, so the two
   // ordering disciplines never mix within one flush.
   uint32_t fresh_locks = 0;
+  CompletionMux::Trip trip = CompletionMux::Trip::kNone;
   hops::Status lock_st;
   const bool staged_order = flight.size() == 1 && flight[0].read != nullptr &&
                             flight[0].read->lock_order() == BatchLockOrder::kStagedOrder;
-  if (!staged_order) {
+  if (via_mux) {
+    const bool window_pays = std::find(pays.begin(), pays.end(), true) != pays.end();
+    lock_st = mux_->SubmitAndWait(this, plans, window_pays, &trip);
+  } else if (!staged_order) {
     std::vector<LockRequest> combined;
     for (auto& plan : plans) {
       std::move(plan.begin(), plan.end(), std::back_inserter(combined));
@@ -644,14 +647,19 @@ hops::Status Transaction::FlushPending() {
 
   // Accounting: the whole window is ONE overlapped round trip (cost max,
   // not sum, of the member trips). A pure-write window whose locks were all
-  // already held piggybacks for free, as a lone WriteBatch does; the trips
-  // the synchronous path would have paid beyond that one are recorded in
-  // overlapped_round_trips.
-  const uint32_t rt = read_members > 0 || fresh_locks > 0 ? 1 : 0;
-  if (!accesses.empty()) accesses.front().round_trips = rt;
+  // already held piggybacks for free, as a lone WriteBatch does, and a mux
+  // window co-scheduled on another transaction's trip pays none (trace
+  // replay still sees its window boundary); the trips the synchronous path
+  // would have paid beyond that are recorded in overlapped_round_trips.
+  const uint32_t rt = via_mux ? (trip == CompletionMux::Trip::kCarries ? 1 : 0)
+                              : (read_members > 0 || fresh_locks > 0 ? 1 : 0);
+  if (!accesses.empty()) {
+    accesses.front().round_trips = rt;
+    accesses.front().co_scheduled = trip == CompletionMux::Trip::kCoScheduled;
+  }
   auto& s = cluster_->stats_;
   s.round_trips.fetch_add(rt, std::memory_order_relaxed);
-  if (rt > 0 && sync_equiv > rt) {
+  if (sync_equiv > rt) {
     s.overlapped_round_trips.fetch_add(sync_equiv - rt, std::memory_order_relaxed);
   }
   if (trace_enabled_) {

@@ -262,6 +262,37 @@ TEST_F(OccConflictTest, LockingScanFailsOnPhantomInsert) {
   EXPECT_EQ(stats.occ_conflicts, 1u);
 }
 
+// The subtree quiesce's take-and-release scan: under 2PL it waits out a
+// transaction holding a scanned row; under OCC it must invalidate one that
+// observed the row, or an inode op holding its parent could commit a child
+// after the quiesce listed the directory (an orphan once the subtree is
+// deleted). A transaction that observes the row after the scan is unharmed.
+TEST_F(OccConflictTest, TakeAndReleaseScanInvalidatesInFlightObservers) {
+  auto holder = engine_->Begin();
+  ASSERT_TRUE(
+      holder->Read(table_, kv::Key{int64_t{1}, int64_t{1}}, kv::LockMode::kExclusive).ok());
+
+  auto quiesce = engine_->Begin();
+  kv::ScanOptions take_and_release;
+  take_and_release.lock = kv::LockMode::kExclusive;
+  take_and_release.take_and_release = true;
+  auto rows = quiesce->Ppis(table_, kv::Key{int64_t{1}}, take_and_release);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->size(), 2u);
+  ASSERT_TRUE(quiesce->Commit().ok());
+
+  auto later = engine_->Begin();
+  ASSERT_TRUE(
+      later->Read(table_, kv::Key{int64_t{1}, int64_t{2}}, kv::LockMode::kExclusive).ok());
+  ASSERT_TRUE(later->Insert(table_, kv::Row{int64_t{1}, int64_t{4}, int64_t{40}}).ok());
+  EXPECT_TRUE(later->Commit().ok());
+
+  ASSERT_TRUE(holder->Insert(table_, kv::Row{int64_t{1}, int64_t{3}, int64_t{30}}).ok());
+  hops::Status st = holder->Commit();
+  EXPECT_EQ(st.code(), StatusCode::kConflict) << st.ToString();
+  EXPECT_EQ(engine_->StatsSnapshot().occ_key_conflicts, 1u);
+}
+
 TEST_F(OccConflictTest, ReadCommittedScanToleratesConcurrentInsert) {
   auto t1 = engine_->Begin();
   auto rows = t1->Ppis(table_, kv::Key{int64_t{1}});  // default: read-committed

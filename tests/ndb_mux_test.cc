@@ -1,10 +1,11 @@
 // The cross-transaction completion mux: N transactions x M in-flight
-// windows on one shared completion loop -- deterministic co-flushing of
+// windows combined into shared rounds -- deterministic co-flushing of
 // windows from different transactions into one overlapped round trip,
 // out-of-order completion, per-transaction read-your-writes isolation,
 // sticky error delivery to the right transaction, a crossing-lock-order
 // case proving no deadlock across transactions, lock-timeout delivery to a
-// deferred window, and the accounting invariant that round_trips +
+// deferred window (aborted by its owner, outside the mux), prompt retry
+// when a holder commits, and the accounting invariant that round_trips +
 // overlapped_round_trips stays the sync-equivalent trip count (no double
 // counting when windows merge).
 #include <gtest/gtest.h>
@@ -30,6 +31,10 @@ class NdbMuxTest : public ::testing::Test {
         .max_in_flight_batches = 8,
         .use_completion_mux = true,
     });
+    table_ = CreateTable(*cluster_);
+  }
+
+  static TableId CreateTable(Cluster& cluster) {
     Schema s;
     s.table_name = "t";
     s.columns = {{"parent", ColumnType::kInt64},
@@ -37,13 +42,18 @@ class NdbMuxTest : public ::testing::Test {
                  {"id", ColumnType::kInt64}};
     s.primary_key = {0, 1};
     s.partition_key = {0};
-    table_ = *cluster_->CreateTable(s);
+    return *cluster.CreateTable(s);
+  }
+
+  static void MustInsert(Cluster& cluster, TableId table, int64_t parent,
+                         const std::string& name, int64_t id) {
+    auto tx = cluster.Begin();
+    ASSERT_TRUE(tx->Insert(table, Row{parent, name, id}).ok());
+    ASSERT_TRUE(tx->Commit().ok());
   }
 
   void MustInsert(int64_t parent, const std::string& name, int64_t id) {
-    auto tx = cluster_->Begin();
-    ASSERT_TRUE(tx->Insert(table_, Row{parent, name, id}).ok());
-    ASSERT_TRUE(tx->Commit().ok());
+    MustInsert(*cluster_, table_, parent, name, id);
   }
 
   // Blocks until `n` submissions are parked on the (paused) mux.
@@ -90,7 +100,7 @@ TEST_F(NdbMuxTest, SingleWindowThroughTheMuxKeepsPerTransactionAccounting) {
 }
 
 // The tentpole scenario: windows from three concurrent transactions parked
-// on the paused loop co-flush in ONE deterministic round = one shared round
+// on the paused mux co-flush in ONE deterministic round = one shared round
 // trip, with the saving recorded exactly once (satellite: no double
 // counting; totals reconcile with the sync-equivalent trip count).
 TEST_F(NdbMuxTest, WindowsFromDifferentTransactionsMergeIntoOneTrip) {
@@ -152,7 +162,7 @@ TEST_F(NdbMuxTest, WindowsFromDifferentTransactionsMergeIntoOneTrip) {
   EXPECT_EQ(after.mux_windows - before.mux_windows, static_cast<uint64_t>(kTx));
 }
 
-// N transactions x M windows each, free-running: whatever way the loop
+// N transactions x M windows each, free-running: whatever way the rounds
 // groups them, every handle resolves correctly and the accounting invariant
 // round_trips + overlapped_round_trips == sync-equivalent trips holds.
 TEST_F(NdbMuxTest, ManyTransactionsManyWindowsReconcileExactly) {
@@ -213,7 +223,7 @@ TEST_F(NdbMuxTest, OutOfOrderCompletionThroughTheSharedLoop) {
 
 // Two transactions co-flushed in one round stay isolated: the reader's
 // window must see the committed value, never the writer's staged row -- and
-// the writer still reads its own write through the same loop.
+// the writer still reads its own write through the same mux.
 TEST_F(NdbMuxTest, ReadYourWritesStaysPerTransactionAcrossMergedWindows) {
   MustInsert(7, "shared", 1);
   auto writer = cluster_->Begin();
@@ -353,6 +363,73 @@ TEST_F(NdbMuxTest, DeferredWindowTimesOutAndAbortsItsOwnTransaction) {
   EXPECT_TRUE(holder->Commit().ok());
 }
 
+// The owner, not the combiner, aborts a timed-out window's transaction:
+// Abort() releases the locks the transaction took in earlier windows and
+// re-enters the mux to retry deferred windows, which would deadlock a
+// combiner still holding the mux mutex.
+TEST_F(NdbMuxTest, DeferredWindowTimesOutWhileHoldingEarlierLocks) {
+  MustInsert(5, "mine", 1);
+  MustInsert(6, "held", 2);
+  auto holder = cluster_->Begin();
+  ASSERT_TRUE(holder->Read(table_, {int64_t{6}, "held"}, LockMode::kExclusive).ok());
+
+  auto before = cluster_->StatsSnapshot();
+  auto tx = cluster_->Begin();
+  ReadBatch earlier;
+  earlier.Get(table_, {int64_t{5}, "mine"}, LockMode::kExclusive);
+  ASSERT_TRUE(tx->ExecuteAsync(earlier).Wait().ok());
+  ReadBatch next;
+  next.Get(table_, {int64_t{6}, "held"}, LockMode::kExclusive);
+  EXPECT_EQ(tx->ExecuteAsync(next).Wait().code(), hops::StatusCode::kLockTimeout);
+  EXPECT_FALSE(tx->active());
+  EXPECT_EQ(cluster_->StatsSnapshot().lock_timeouts - before.lock_timeouts, 1u);
+
+  // The earlier window's lock went with the abort: another transaction
+  // takes it without waiting out the lock-wait timeout.
+  auto other = cluster_->Begin();
+  ASSERT_TRUE(other->Read(table_, {int64_t{5}, "mine"}, LockMode::kExclusive).ok());
+  ASSERT_TRUE(other->Commit().ok());
+  EXPECT_EQ(cluster_->StatsSnapshot().lock_timeouts - before.lock_timeouts, 1u);
+  // The blocking holder's commit (which pokes the mux) still returns.
+  EXPECT_TRUE(holder->Commit().ok());
+}
+
+// A deferred window retries as soon as its holder commits. The retry timer
+// here is far longer than the lock-wait timeout, so only the commit's
+// wake-up can complete the window in time.
+TEST_F(NdbMuxTest, DeferredWindowRetriesPromptlyWhenTheHolderCommits) {
+  Cluster cluster(ClusterConfig{
+      .num_datanodes = 4,
+      .replication = 2,
+      .partitions_per_table = 8,
+      .lock_wait_timeout = std::chrono::milliseconds(2000),
+      .use_completion_mux = true,
+      .mux_retry_interval = std::chrono::seconds(60),
+  });
+  const TableId table = CreateTable(cluster);
+  MustInsert(cluster, table, 5, "held", 1);
+  auto holder = cluster.Begin();
+  ASSERT_TRUE(holder->Read(table, {int64_t{5}, "held"}, LockMode::kExclusive).ok());
+
+  auto before = cluster.StatsSnapshot();
+  std::thread committer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_TRUE(holder->Commit().ok());
+  });
+  auto tx = cluster.Begin();
+  ReadBatch rb;
+  rb.Get(table, {int64_t{5}, "held"}, LockMode::kExclusive);
+  const auto start = std::chrono::steady_clock::now();
+  hops::Status st = tx->ExecuteAsync(rb).Wait();
+  const auto waited = std::chrono::steady_clock::now() - start;
+  committer.join();
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_LT(waited, cluster.config().lock_wait_timeout / 2)
+      << "the holder's commit must retry the deferred window";
+  EXPECT_EQ(cluster.StatsSnapshot().lock_timeouts - before.lock_timeouts, 0u);
+  ASSERT_TRUE(tx->Commit().ok());
+}
+
 // A deferred window must hold nothing it did not already hold: a
 // shared->exclusive upgrade taken in the combined pass is atomically stepped
 // back down when the window defers, so other shared readers are not blocked
@@ -372,7 +449,7 @@ TEST_F(NdbMuxTest, DeferredWindowRollsBackItsSharedToExclusiveUpgrade) {
   window.Get(table_, {int64_t{9}, "zz"}, LockMode::kExclusive);  // contended
   hops::Status window_st;
   std::thread tw([&] { window_st = upgrader->ExecuteAsync(window).Wait(); });
-  // Let the window enter the loop and defer (it retries every
+  // Let the window enter the mux and defer (it retries every
   // mux_retry_interval; any of those attempts upgrades then rolls back).
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
 
@@ -392,7 +469,7 @@ TEST_F(NdbMuxTest, DeferredWindowRollsBackItsSharedToExclusiveUpgrade) {
   EXPECT_EQ(cluster_->StatsSnapshot().lock_timeouts, 0u);
 }
 
-// Locking scans and staged-order windows bypass the shared loop (their lock
+// Locking scans and staged-order windows bypass the shared mux (their lock
 // waits must stay on the submitting thread) but still work alongside it.
 TEST_F(NdbMuxTest, LockingScanWindowsFlushOnTheSubmittingThread) {
   for (int64_t i = 0; i < 4; ++i) MustInsert(6, "s" + std::to_string(i), i);
@@ -407,13 +484,13 @@ TEST_F(NdbMuxTest, LockingScanWindowsFlushOnTheSubmittingThread) {
   ASSERT_TRUE(tx->Commit().ok());
   auto after = cluster_->StatsSnapshot();
   EXPECT_EQ(after.mux_windows - before.mux_windows, 0u)
-      << "a locking-scan window must not enter the shared loop";
+      << "a locking-scan window must not enter the shared mux";
 }
 
 // Adaptive gather (ClusterConfig::mux_adaptive_gather): after a round that
-// merged windows from several transactions, the loop holds the door open up
-// to mux_gather_delay for trailing submissions, folding them into the same
-// shared trip instead of paying a fresh round.
+// merged windows from several transactions, the next combiner holds the door
+// open up to mux_gather_delay for trailing submissions, folding them into the
+// same shared trip instead of paying a fresh round.
 TEST_F(NdbMuxTest, AdaptiveGatherHoldsTheDoorForTrailingWindows) {
   Cluster cluster(ClusterConfig{
       .num_datanodes = 4,
@@ -424,19 +501,8 @@ TEST_F(NdbMuxTest, AdaptiveGatherHoldsTheDoorForTrailingWindows) {
       .mux_adaptive_gather = true,
       .mux_gather_delay = std::chrono::milliseconds(300),
   });
-  Schema s;
-  s.table_name = "t";
-  s.columns = {{"parent", ColumnType::kInt64},
-               {"name", ColumnType::kString},
-               {"id", ColumnType::kInt64}};
-  s.primary_key = {0, 1};
-  s.partition_key = {0};
-  TableId table = *cluster.CreateTable(s);
-  for (int64_t p = 0; p < 4; ++p) {
-    auto tx = cluster.Begin();
-    ASSERT_TRUE(tx->Insert(table, Row{p, "f", p}).ok());
-    ASSERT_TRUE(tx->Commit().ok());
-  }
+  const TableId table = CreateTable(cluster);
+  for (int64_t p = 0; p < 4; ++p) MustInsert(cluster, table, p, "f", p);
   auto submit_one = [&](int64_t key) {
     auto tx = cluster.Begin();
     ReadBatch b;
@@ -445,7 +511,7 @@ TEST_F(NdbMuxTest, AdaptiveGatherHoldsTheDoorForTrailingWindows) {
     ASSERT_TRUE(tx->Commit().ok());
   };
   // Round 1, staged via the pause hook: two transactions' windows co-flush,
-  // arming the loop's merged-recently signal. No gather happens yet (the
+  // arming the mux's merged-recently signal. No gather happens yet (the
   // signal was off when the round started).
   cluster.mux()->SetPausedForTesting(true);
   std::thread t1([&] { submit_one(0); });
@@ -457,7 +523,7 @@ TEST_F(NdbMuxTest, AdaptiveGatherHoldsTheDoorForTrailingWindows) {
   cluster.mux()->SetPausedForTesting(false);
   t1.join();
   t2.join();
-  // Round 2: one window arrives, the loop gathers, and a second window
+  // Round 2: one window arrives, its combiner gathers, and a second window
   // submitted well inside the gather delay rides the same shared trip.
   auto before = cluster.StatsSnapshot();
   std::thread t3([&] { submit_one(2); });
@@ -467,7 +533,7 @@ TEST_F(NdbMuxTest, AdaptiveGatherHoldsTheDoorForTrailingWindows) {
   t4.join();
   auto after = cluster.StatsSnapshot();
   EXPECT_GE(after.mux_gather_waits - before.mux_gather_waits, 1u)
-      << "the loop must have held the door after the merged round";
+      << "the combiner must have held the door after the merged round";
   EXPECT_GE(after.mux_gathered_windows - before.mux_gathered_windows, 1u)
       << "the trailing window must have arrived during the gather wait";
   EXPECT_EQ(after.cross_tx_overlapped_round_trips - before.cross_tx_overlapped_round_trips,
@@ -496,7 +562,7 @@ TEST_F(NdbMuxTest, AdaptiveGatherIsOffByDefault) {
   AwaitQueued(2);
   cluster_->mux()->SetPausedForTesting(false);
   for (auto& t : threads) t.join();
-  // ...then another window: with the default config the loop never waits.
+  // ...then another window: with the default config no combiner waits.
   auto tx = cluster_->Begin();
   ReadBatch b;
   b.Get(table_, {int64_t{2}, "f"});
